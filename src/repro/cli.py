@@ -757,36 +757,44 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_repro.add_argument("reproducer", help="reproducer .npz path")
     fuzz_repro.set_defaults(func=_cmd_fuzz)
 
+    # Every search default comes from ExploreConfig, the one place it lives.
+    from repro.explore.search import ExploreConfig
+
+    explore_defaults = ExploreConfig()
     explore = sub.add_parser(
         "explore",
         help="budgeted Pareto search over the topology design space",
     )
-    explore.add_argument("--seed", type=int, default=0,
+    explore.add_argument("--seed", type=int, default=explore_defaults.seed,
                          help="search seed; fully determines the run")
-    explore.add_argument("--generations", type=int, default=3)
-    explore.add_argument("--population", type=int, default=12,
+    explore.add_argument("--generations", type=int,
+                         default=explore_defaults.generations)
+    explore.add_argument("--population", type=int,
+                         default=explore_defaults.population_size,
                          help="candidates per generation")
-    explore.add_argument("--budget-kib", type=float, default=96.0,
+    explore.add_argument("--budget-kib", type=float,
+                         default=explore_defaults.budget_kib,
                          help="per-candidate total storage budget (KiB)")
     explore.add_argument("--workloads", nargs="+",
-                         default=["biased", "dispatch", "pattern_short",
-                                  "counted_loops", "pattern_long"],
+                         default=list(explore_defaults.workloads),
                          help="workload suite, cheap first (halving "
                               "prefixes follow this order)")
-    explore.add_argument("--scale", type=float, default=0.2)
-    explore.add_argument("--max-instructions", type=int, default=4000,
+    explore.add_argument("--scale", type=float, default=explore_defaults.scale)
+    explore.add_argument("--max-instructions", type=int,
+                         default=explore_defaults.max_instructions,
                          help="per-evaluation instruction budget")
-    explore.add_argument("--backend", default="trace", choices=BACKEND_NAMES,
-                         help="fitness backend (trace is the cheap default)")
-    explore.add_argument("--jobs", type=int, default=1,
+    explore.add_argument("--backend", default=explore_defaults.backend,
+                         choices=BACKEND_NAMES,
+                         help="fitness backend (default: %(default)s)")
+    explore.add_argument("--jobs", type=int, default=explore_defaults.jobs,
                          help="worker processes per evaluation batch")
     explore.add_argument("--cache", default=None, metavar="DIR",
                          help="result-cache directory; reruns with the "
                               "same seed replay from it with zero cold "
                               "evaluations")
-    explore.add_argument("--eta", type=int, default=2,
+    explore.add_argument("--eta", type=int, default=explore_defaults.eta,
                          help="halving promotion factor (keep best 1/eta)")
-    explore.add_argument("--rungs", type=int, default=3,
+    explore.add_argument("--rungs", type=int, default=explore_defaults.rungs,
                          help="halving rungs over the workload suite")
     explore.add_argument("--out", default=None, metavar="PATH",
                          help="write the Pareto artifact (JSON) here")

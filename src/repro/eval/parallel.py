@@ -19,6 +19,11 @@ Design rules:
   the parent process with no executor involved; the parallel path must be
   bit-identical to it (runs are deterministic), which the test suite
   checks.
+- **Capture in the parent.**  A cache-missed ``replay`` job that carries
+  a program is handed its branch trace from the parent's trace store
+  (:data:`~repro.workloads.registry.TRACE_STORE`) before dispatch, so
+  each program is interpreted once per process, workers never run the
+  interpreter, and cache hits never capture.
 - **Degrade, never fail.**  Unpicklable jobs (closure factories) fall back
   to in-process execution.  A worker crash (``BrokenProcessPool``) reruns
   the unfinished jobs serially.  A job that raises in a worker is retried
@@ -33,8 +38,8 @@ from __future__ import annotations
 import pickle
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Union
 
 from repro import presets
 from repro.core.composer import ComposedPredictor
@@ -42,6 +47,9 @@ from repro.eval import cache as result_cache
 from repro.eval.metrics import RunResult
 from repro.frontend.config import CoreConfig
 from repro.isa.program import Program
+
+if TYPE_CHECKING:
+    from repro.workloads.traces import BranchTrace
 
 #: Called as ``progress(system, workload)`` as each job is dispatched.
 ProgressFn = Callable[[str, str], None]
@@ -67,6 +75,9 @@ class EvalJob:
     backend: str = "cycle"
     #: Stored ``BranchTrace`` npz for replay jobs with no live program.
     trace_path: Optional[str] = None
+    #: In-memory trace of ``program`` for replay jobs, filled by
+    #: :meth:`ParallelRunner.run`; never part of the cache key.
+    trace: Optional["BranchTrace"] = None
 
 
 def build_predictor(spec: Union[str, Callable[[], ComposedPredictor]]):
@@ -85,7 +96,10 @@ def _execute_job(job: EvalJob) -> RunResult:
 
     predictor = build_predictor(job.spec)
     source = WorkloadSource(
-        name=job.workload, program=job.program, trace_path=job.trace_path
+        name=job.workload,
+        program=job.program,
+        trace_path=job.trace_path,
+        trace=job.trace,
     )
     return get_backend(job.backend).run(
         predictor,
@@ -121,6 +135,18 @@ def job_cache_key(job: EvalJob) -> str:
         workload=job.workload,
     )
     return result_cache.fingerprint_key(fingerprint)
+
+
+def _with_trace(job: EvalJob) -> EvalJob:
+    """``job`` carrying its program's stored trace, if it replays one."""
+    if job.backend != "replay" or job.program is None:
+        return job
+    if job.trace is not None or job.trace_path is not None:
+        return job
+    from repro.workloads.registry import TRACE_STORE
+
+    trace = TRACE_STORE.get(job.program, job.max_instructions)
+    return replace(job, trace=trace)
 
 
 def _is_picklable(job: EvalJob) -> bool:
@@ -182,6 +208,7 @@ class ParallelRunner:
                     results[index] = cached
                     continue
             pending.append(index)
+            batch[index] = _with_trace(job)
 
         if self.jobs > 1 and len(pending) > 1:
             parallelizable = [i for i in pending if _is_picklable(batch[i])]

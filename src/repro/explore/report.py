@@ -43,7 +43,12 @@ GOLDEN_EXPLORE_CONFIG = ExploreConfig(
 
 #: Provenance keys that vary between cold and warm-cache runs of the same
 #: search; excluded from the golden payload (and only there).
-_VOLATILE_PROVENANCE = ("cache_hits", "cold_evaluations", "cache_enabled")
+_VOLATILE_PROVENANCE = (
+    "cache_hits",
+    "cold_evaluations",
+    "cache_enabled",
+    "trace_captures",
+)
 
 
 def _point_payload(point: FrontPoint) -> Dict[str, Any]:
@@ -120,11 +125,14 @@ def format_report(result: ExploreResult) -> str:
         f"{prov['scheduled_cells']} scheduled cells, "
         f"{prov['evals_saved_by_halving']} cells saved by halving",
     ]
+    captures = f"{prov.get('trace_captures', 0)} trace captures"
     if prov.get("cache_enabled"):
         lines.append(
             f"cache: {prov['cache_hits']} hits, "
-            f"{prov['cold_evaluations']} cold evaluations"
+            f"{prov['cold_evaluations']} cold evaluations, {captures}"
         )
+    else:
+        lines.append(f"trace store: {captures}")
     dominated = prov.get("dominated_seeds", [])
     if dominated:
         lines.append(

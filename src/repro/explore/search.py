@@ -41,6 +41,7 @@ from repro.explore.population import (
     seed_population,
 )
 from repro.workloads.micro import MICRO_NAMES
+from repro.workloads.registry import TRACE_STORE
 
 ProgressFn = Callable[[str], None]
 
@@ -67,7 +68,9 @@ class ExploreConfig:
     workloads: Tuple[str, ...] = DEFAULT_WORKLOADS
     scale: float = 0.2
     max_instructions: Optional[int] = 4000
-    backend: str = "trace"
+    #: ``replay`` walks each program's stored trace: the same counts as
+    #: ``trace``, with the interpreter run once per program, not per cell.
+    backend: str = "replay"
     jobs: int = 1
     cache: Union[None, str, Path, result_cache.ResultCache] = None
     #: Halving promotion factor: each rung keeps the best 1/eta.
@@ -125,6 +128,7 @@ def explore(
     cache = result_cache.resolve_cache(config.cache)
     hits0 = cache.hits if cache is not None else 0
     misses0 = cache.misses if cache is not None else 0
+    captures0 = TRACE_STORE.captures
 
     programs = _build_programs(config)
     schedule = halving.build_schedule(tuple(programs), config.rungs)
@@ -220,6 +224,7 @@ def explore(
             "evals_saved_by_halving": full_cells_planned - cold_cells_planned,
             "cache_hits": cache_hits,
             "cold_evaluations": cache_misses,
+            "trace_captures": TRACE_STORE.captures - captures0,
             "cache_enabled": cache is not None,
             "code_version": result_cache.CODE_VERSION,
         },

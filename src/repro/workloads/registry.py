@@ -13,13 +13,22 @@ This module gives every execution backend one resolution rule:
   ``replay`` backend);
 - an in-memory :class:`Program` or an explicit :class:`WorkloadSource`
   passes through unchanged.
+
+Replaying a live program needs its branch trace.  :data:`TRACE_STORE`
+captures each (program content, instruction limit) once per process and
+hands every later replay of the same pair the stored trace, so a search
+that replays the same suite hundreds of times runs the interpreter once
+per program.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, Optional, Tuple, Union
+
+import numpy as np
 
 from repro.isa.program import Program
 from repro.workloads.coremark import build_coremark
@@ -29,47 +38,103 @@ from repro.workloads.specint import SPECINT_NAMES, build as build_specint
 from repro.workloads.traces import BranchTrace, capture_trace
 
 
-@dataclass
-class WorkloadSource:
-    """One workload, in whichever form a backend can consume.
+#: Traces the in-process store keeps before evicting the least recently
+#: used one.  An explore suite is five programs at one limit.
+TRACE_STORE_SIZE = 32
 
-    Exactly one of ``program`` / ``trace_path`` is set.  Backends that
-    execute instructions (``cycle``, ``trace``) require the program;
-    ``replay`` accepts either — given a program it captures the trace on
-    the fly, given an ``.npz`` path it loads the stored columns.
+
+class TraceStore:
+    """Bounded in-process LRU of captured traces.
+
+    Keyed by ``(program_digest(program), limit)``: the program's content,
+    not its name, so a rebuilt or rescaled program never reuses a stale
+    trace.  ``captures`` and ``hits`` count the interpreter runs and the
+    runs saved.  Stored traces are shared by every caller, so their
+    columns are read-only.
     """
 
-    name: str
-    program: Optional[Program] = None
-    trace_path: Optional[Union[str, Path]] = None
+    def __init__(self) -> None:
+        self._entries: "OrderedDict[Tuple[str, int], BranchTrace]" = OrderedDict()
+        self.captures = 0
+        self.hits = 0
 
-    def require_program(self, backend: str) -> Program:
-        if self.program is None:
-            raise ValueError(
-                f"workload {self.name!r} is a stored trace "
-                f"({self.trace_path}); the {backend!r} backend executes "
-                f"instructions and needs a Program — use the replay backend "
-                f"for .npz traces"
-            )
-        return self.program
+    def __len__(self) -> int:
+        return len(self._entries)
 
-    def branch_trace(self, max_instructions: Optional[int] = None) -> BranchTrace:
-        """The workload as a :class:`BranchTrace` (loaded or captured).
+    def get(self, program: Program, max_instructions: Optional[int]) -> BranchTrace:
+        """``program``'s trace cut at ``max_instructions``, captured on a miss.
 
-        An on-the-fly capture is bounded by the same default instruction
-        budget the ``trace`` backend uses, so an uncapped ``trace`` run and
-        a replay of a default capture cover the same stream.
+        An uncapped replay is cut at the bound the ``trace`` backend applies
+        when given none, so the two backends cover the same stream.
         """
-        if self.trace_path is not None:
-            return BranchTrace.load(self.trace_path)
         from repro.backends.base import DEFAULT_TRACE_INSTRUCTIONS
+        from repro.eval.cache import program_digest
 
         limit = (
             max_instructions
             if max_instructions is not None
             else DEFAULT_TRACE_INSTRUCTIONS
         )
-        return capture_trace(self.program, max_instructions=limit)
+        key = (program_digest(program), limit)
+        trace = self._entries.get(key)
+        if trace is not None:
+            self._entries.move_to_end(key)
+            self.hits += 1
+            return trace
+        trace = capture_trace(program, max_instructions=limit)
+        for column in vars(trace).values():
+            if isinstance(column, np.ndarray):
+                column.flags.writeable = False
+        self.captures += 1
+        self._entries[key] = trace
+        if len(self._entries) > TRACE_STORE_SIZE:
+            self._entries.popitem(last=False)
+        return trace
+
+    def clear(self) -> None:
+        """Drop every entry (the counters keep running)."""
+        self._entries.clear()
+
+
+#: The process's trace store (each worker process has its own).
+TRACE_STORE = TraceStore()
+
+
+@dataclass
+class WorkloadSource:
+    """One workload, in whichever form a backend can consume.
+
+    A source carries a ``program``, a stored ``trace_path``, an in-memory
+    ``trace``, or a program together with its trace.  Backends that
+    execute instructions (``cycle``, ``trace``) require the program;
+    ``replay`` takes the in-memory trace if there is one, else loads the
+    ``.npz`` path, else fetches the program's trace from
+    :data:`TRACE_STORE`.  An in-memory trace is used as given: it should
+    have been captured at the run's instruction limit.
+    """
+
+    name: str
+    program: Optional[Program] = None
+    trace_path: Optional[Union[str, Path]] = None
+    trace: Optional[BranchTrace] = None
+
+    def require_program(self, backend: str) -> Program:
+        if self.program is None:
+            stored = self.trace_path if self.trace is None else "in memory"
+            raise ValueError(
+                f"workload {self.name!r} is a branch trace ({stored}); the "
+                f"{backend!r} backend executes instructions and needs a "
+                f"Program — use the replay backend for traces"
+            )
+        return self.program
+
+    def branch_trace(self, max_instructions: Optional[int] = None) -> BranchTrace:
+        """The workload as a :class:`BranchTrace` (given, loaded or stored)."""
+        if self.trace is not None:
+            return self.trace
+        if self.trace_path is not None:
+            return BranchTrace.load(self.trace_path)
+        return TRACE_STORE.get(self.program, max_instructions)
 
 
 #: Named builders, ``name -> builder(scale) -> Program``.

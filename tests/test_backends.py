@@ -31,8 +31,12 @@ from repro.eval.runner import run_workload
 from repro.kernels.engine import TraceColumns, engine_for
 from repro.eval.tracesim import TraceResult
 from repro.isa.program import Program
+from repro.eval.parallel import EvalJob, ParallelRunner, _with_trace, job_cache_key
+from repro.workloads import registry
 from repro.workloads.micro import build_micro
 from repro.workloads.registry import (
+    TRACE_STORE,
+    TRACE_STORE_SIZE,
     WorkloadSource,
     build_workload,
     resolve_workload,
@@ -95,6 +99,134 @@ class TestRegistry:
             get_backend("cycle").run(
                 presets.build("b2"), source, RunLimits(max_instructions=1000)
             )
+
+
+# ----------------------------------------------------------------------
+# The in-process trace store
+# ----------------------------------------------------------------------
+@pytest.fixture
+def capture_calls(monkeypatch):
+    """Empty the trace store and record every capture it makes."""
+    calls = []
+
+    def counting_capture(program, max_instructions):
+        calls.append((program.name, max_instructions))
+        return capture_trace(program, max_instructions=max_instructions)
+
+    monkeypatch.setattr(registry, "capture_trace", counting_capture)
+    TRACE_STORE.clear()
+    yield calls
+    TRACE_STORE.clear()
+
+
+class TestTraceStore:
+    def test_one_capture_per_program_content_and_limit(self, capture_calls):
+        first = WorkloadSource(name="a", program=build_micro("dispatch", 0.2))
+        again = WorkloadSource(name="b", program=build_micro("dispatch", 0.2))
+        hits = TRACE_STORE.hits
+        trace = first.branch_trace(BUDGET)
+        assert again.branch_trace(BUDGET) is trace
+        assert first.branch_trace(BUDGET) is trace
+        assert capture_calls == [("dispatch", BUDGET)]
+        assert TRACE_STORE.hits - hits == 2
+
+    def test_a_different_limit_gets_its_own_entry(self, capture_calls):
+        source = WorkloadSource(name="m", program=build_micro("dispatch", 0.2))
+        short = source.branch_trace(1000)
+        longer = source.branch_trace(2000)
+        assert short.instruction_count == 1000
+        assert longer.instruction_count == 2000
+        assert len(capture_calls) == 2 and len(TRACE_STORE) == 2
+
+    def test_same_name_different_content_does_not_collide(self, capture_calls):
+        small = build_micro("counted_loops", scale=0.2)
+        large = build_micro("counted_loops", scale=0.3)
+        assert small.name == large.name
+        a = WorkloadSource(name="m", program=small).branch_trace(None)
+        b = WorkloadSource(name="m", program=large).branch_trace(None)
+        assert len(capture_calls) == 2
+        assert a.instruction_count != b.instruction_count
+
+    def test_none_and_the_default_limit_share_one_entry(self, capture_calls):
+        from repro.backends.base import DEFAULT_TRACE_INSTRUCTIONS
+
+        source = WorkloadSource(name="m", program=build_micro("biased", 0.2))
+        default = source.branch_trace(None)
+        assert source.branch_trace(DEFAULT_TRACE_INSTRUCTIONS) is default
+        assert capture_calls == [("biased", DEFAULT_TRACE_INSTRUCTIONS)]
+
+    def test_least_recently_used_entry_is_evicted(self, capture_calls):
+        program = build_micro("biased", scale=0.2)
+        for limit in range(1, TRACE_STORE_SIZE + 1):
+            TRACE_STORE.get(program, limit)
+        TRACE_STORE.get(program, 1)  # touch: limit 2 is now the oldest
+        TRACE_STORE.get(program, TRACE_STORE_SIZE + 1)
+        assert len(TRACE_STORE) == TRACE_STORE_SIZE
+        assert len(capture_calls) == TRACE_STORE_SIZE + 1
+        TRACE_STORE.get(program, 1)
+        assert len(capture_calls) == TRACE_STORE_SIZE + 1
+        TRACE_STORE.get(program, 2)
+        assert capture_calls[-1] == ("biased", 2)
+
+    def test_stored_traces_are_read_only(self, capture_calls, micro_program):
+        trace = TRACE_STORE.get(micro_program, BUDGET)
+        with pytest.raises(ValueError):
+            trace.taken[0] = not trace.taken[0]
+
+    @pytest.mark.parametrize("preset", presets.PRESET_NAMES)
+    def test_stored_trace_replays_like_a_fresh_capture(
+        self, preset, capture_calls, micro_program
+    ):
+        limits = RunLimits(max_instructions=BUDGET)
+        live = WorkloadSource(name="m", program=micro_program)
+        fresh = WorkloadSource(
+            name="m",
+            trace=capture_trace(micro_program, max_instructions=BUDGET),
+        )
+        replay = get_backend("replay")
+        stored = replay.run(presets.build(preset), live, limits)
+        again = replay.run(presets.build(preset), live, limits)
+        captured = replay.run(presets.build(preset), fresh, limits)
+        assert counts(stored) == counts(again) == counts(captured)
+        assert len(capture_calls) == 1
+
+    def test_in_memory_trace_is_not_a_program(self, micro_program):
+        trace = capture_trace(micro_program, max_instructions=1000)
+        source = WorkloadSource(name="m", trace=trace)
+        with pytest.raises(ValueError, match="needs a Program"):
+            source.require_program("trace")
+
+    def test_runner_fills_traces_for_pending_replay_jobs_only(
+        self, capture_calls, micro_program, tmp_path
+    ):
+        def batch(backend):
+            return [
+                EvalJob(
+                    system=preset,
+                    spec=preset,
+                    workload="m",
+                    program=micro_program,
+                    backend=backend,
+                    max_instructions=BUDGET,
+                )
+                for preset in ("b2", "tourney")
+            ]
+
+        assert _with_trace(batch("trace")[0]).trace is None
+        filled = _with_trace(batch("replay")[0])
+        assert filled.trace is not None
+        assert job_cache_key(filled) == job_cache_key(batch("replay")[0])
+        TRACE_STORE.clear()
+        capture_calls.clear()
+
+        cold = ParallelRunner(cache=tmp_path).run(batch("replay"))
+        assert len(capture_calls) == 1
+        traced = ParallelRunner(cache=tmp_path / "t").run(batch("trace"))
+        assert [counts(r) for r in cold] == [counts(r) for r in traced]
+        TRACE_STORE.clear()
+        warm = ParallelRunner(cache=tmp_path).run(batch("replay"))
+        assert len(capture_calls) == 1  # cache hits never capture
+        assert [counts(r) for r in warm] == [counts(r) for r in cold]
 
 
 # ----------------------------------------------------------------------

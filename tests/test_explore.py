@@ -9,18 +9,24 @@ against brute-force dominance, the committed golden snapshot, and the
 `explore` fuzz oracle.
 """
 
+import dataclasses
+import json
+import multiprocessing
 import random
 from pathlib import Path
 
 import pytest
 
+import repro.explore.search as search_module
+
 from repro.analysis.diagnostics import ERROR
 from repro.analysis.topology_check import check_spec
-from repro.cli import main as cli_main
+from repro.cli import build_parser, main as cli_main
 from repro.eval.cache import ResultCache
 from repro.explore import (
     GOLDEN_EXPLORE_CONFIG,
     Candidate,
+    ExploreConfig,
     ParetoArchive,
     build_schedule,
     candidate_storage_kib,
@@ -40,6 +46,7 @@ from repro.explore.halving import promote_count
 from repro.explore.pareto import FrontPoint
 from repro.explore.population import random_candidate
 from repro.fuzz import FuzzConfig, case_for_iteration, run_oracle
+from repro.workloads.registry import TRACE_STORE
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_PATH = REPO_ROOT / "goldens" / "golden_explore.json"
@@ -53,8 +60,6 @@ def cold_run(tmp_path_factory):
     result = explore(GOLDEN_EXPLORE_CONFIG, progress=None)
     # Re-run with the cache attached so the warm-resume test has a primed
     # directory; provenance of this second run records the cold fill.
-    import dataclasses
-
     config = dataclasses.replace(GOLDEN_EXPLORE_CONFIG, cache=cache)
     cached_result = explore(config)
     return result, cached_result, cache_dir
@@ -75,8 +80,6 @@ def test_warm_cache_resume_zero_cold_evaluations(cold_run):
     _, cached, cache_dir = cold_run
     # The priming run had to fill the cache.
     assert cached.provenance["cold_evaluations"] > 0
-    import dataclasses
-
     warm_cache = ResultCache(cache_dir)
     config = dataclasses.replace(GOLDEN_EXPLORE_CONFIG, cache=warm_cache)
     warm = explore(config)
@@ -107,6 +110,100 @@ def test_halving_saves_evaluations(cold_run):
     prov = uncached.provenance
     assert prov["evals_saved_by_halving"] > 0
     assert prov["halving_cold_cells"] < prov["halving_full_cells"]
+
+
+# ----------------------------------------------------------------------
+# Replay fitness: same front as trace, one capture per program
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def replay_runs(tmp_path_factory):
+    """The golden search on the replay backend: cold, then warm, each
+    starting from an empty trace store."""
+    cache_dir = tmp_path_factory.mktemp("explore-replay-cache")
+    config = dataclasses.replace(
+        GOLDEN_EXPLORE_CONFIG, backend="replay", cache=cache_dir
+    )
+    TRACE_STORE.clear()
+    cold = explore(config)
+    TRACE_STORE.clear()
+    warm = explore(config)
+    return cold, warm
+
+
+def test_replay_backend_reproduces_the_golden(replay_runs):
+    """Only ``provenance.backend`` tells a replay search from a trace one."""
+    cold, _ = replay_runs
+    expected = json.loads(GOLDEN_PATH.read_text())
+    actual = result_payload(cold, golden=True)
+    assert actual["provenance"].pop("backend") == "replay"
+    assert expected["provenance"].pop("backend") == "trace"
+    assert actual == expected
+
+
+def test_replay_search_captures_once_per_program(replay_runs):
+    cold, _ = replay_runs
+    assert cold.provenance["cold_evaluations"] > len(GOLDEN_EXPLORE_CONFIG.workloads)
+    assert cold.provenance["trace_captures"] == len(GOLDEN_EXPLORE_CONFIG.workloads)
+
+
+def test_warm_replay_rerun_captures_nothing(replay_runs):
+    _, warm = replay_runs
+    assert warm.provenance["cold_evaluations"] == 0
+    assert warm.provenance["trace_captures"] == 0
+
+
+def test_cli_explore_defaults_come_from_explore_config():
+    args = build_parser().parse_args(["explore"])
+    defaults = ExploreConfig()
+    assert args.backend == defaults.backend == "replay"
+    assert tuple(args.workloads) == defaults.workloads
+    assert args.population == defaults.population_size
+    assert args.max_instructions == defaults.max_instructions
+
+
+# ----------------------------------------------------------------------
+# Process lifetime: a search leaves no worker behind
+# ----------------------------------------------------------------------
+_TINY_PARALLEL = ExploreConfig(
+    seed=1,
+    generations=1,
+    population_size=4,
+    workloads=("biased", "dispatch"),
+    scale=0.15,
+    max_instructions=1500,
+    rungs=2,
+    jobs=2,
+)
+
+
+class _ExplodingFactory:
+    """A picklable predictor factory that always fails."""
+
+    def __call__(self):
+        raise RuntimeError("factory exploded")
+
+
+def test_parallel_search_leaves_no_child_processes():
+    result = explore(_TINY_PARALLEL)
+    assert result.front
+    assert multiprocessing.active_children() == []
+
+
+def test_search_raising_mid_run_leaves_no_child_processes(monkeypatch):
+    real_evaluate = search_module.evaluate_designs
+    calls = []
+
+    def second_batch_explodes(designs, programs, **kwargs):
+        calls.append(len(designs))
+        if len(calls) == 2:
+            designs = {name: _ExplodingFactory() for name in designs}
+        return real_evaluate(designs, programs, **kwargs)
+
+    monkeypatch.setattr(search_module, "evaluate_designs", second_batch_explodes)
+    with pytest.raises(RuntimeError, match="factory exploded"):
+        explore(_TINY_PARALLEL)
+    assert len(calls) == 2
+    assert multiprocessing.active_children() == []
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,7 @@ Run:  python examples/speculation_study.py
 """
 
 from repro import presets
-from repro.eval import run_workload, trace_accuracy
+from repro.eval import run_workload
 from repro.workloads import build_dhrystone, build_specint
 
 
@@ -56,10 +56,10 @@ def section_ii_b(scale: float = 0.5) -> None:
     print("=== §II-B: trace-driven simulation vs. speculative core ===")
     for name in ("xz", "perlbench"):
         program = build_specint(name, scale=scale)
-        trace = trace_accuracy(presets.build("tage_l"), program)
+        trace = run_workload("tage_l", program, backend="trace")
         core = run_workload("tage_l", program)
-        gap = (trace.accuracy - core.branch_accuracy) * 100
-        print(f"  {name:10s} trace-sim acc {trace.accuracy*100:5.2f}%  "
+        gap = (trace.branch_accuracy - core.branch_accuracy) * 100
+        print(f"  {name:10s} trace-sim acc {trace.branch_accuracy*100:5.2f}%  "
               f"core acc {core.branch_accuracy*100:5.2f}%  "
               f"modelling gap {gap:+.2f} pp  "
               f"MPKI {trace.mpki:.2f} vs {core.mpki:.2f}")

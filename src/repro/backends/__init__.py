@@ -34,7 +34,7 @@ from repro.backends.packets import (
 )
 from repro.backends.cycle import CycleBackend
 from repro.backends.trace import TraceBackend
-from repro.backends.replay import ReplayBackend, trace_packets, trace_stream
+from repro.backends.replay import ReplayBackend, trace_packets
 
 __all__ = [
     "DEFAULT_BACKEND",
@@ -53,5 +53,4 @@ __all__ = [
     "interpreter_stream",
     "program_packets",
     "trace_packets",
-    "trace_stream",
 ]

@@ -39,9 +39,9 @@ from repro.workloads.registry import WorkloadSource
 DEFAULT_BACKEND = "cycle"
 
 #: Instruction cap the trace-driven backends apply when the caller gives
-#: none (matches the historical ``trace_accuracy`` default, and the default
-#: capture length of ``repro trace capture`` — so an uncapped ``trace`` run
-#: and a replay of a default capture cover the same stream).
+#: none (matches the default capture length of ``repro trace capture`` — so
+#: an uncapped ``trace`` run and a replay of a default capture cover the
+#: same stream).
 DEFAULT_TRACE_INSTRUCTIONS = 1_000_000
 
 

@@ -7,9 +7,13 @@ methodology the paper argues demonstrates "substantial modelling error" —
 kept as a first-class backend precisely so that error is measurable
 against ``cycle`` (see ``benchmarks/bench_trace_vs_core.py``).
 
-The instruction stream comes from the ISA interpreter; the packet walk
-itself lives in :func:`repro.backends.packets.drive_stream`, shared with
-the ``replay`` backend.
+The instruction stream comes from the ISA interpreter and the packet walk
+is :func:`repro.backends.packets.drive_stream`, which queries every packet.
+This is the repository's one trace-driven front door over a live program
+(``run_workload(predictor, program, backend="trace")``, capped at
+:data:`~repro.backends.base.DEFAULT_TRACE_INSTRUCTIONS` by default), and
+the independent reference the ``replay`` backend's columnar walker is
+checked against.
 """
 
 from __future__ import annotations

@@ -57,12 +57,11 @@ class PacketCache:
     """Memoized pre-decoded fetch packets, keyed by fetch PC.
 
     The single packet-assembly rule shared by every execution backend (the
-    cycle-level frontend, the trace simulator, and npz replay — see
+    cycle-level frontend, the ``trace`` backend, and npz replay — see
     :mod:`repro.backends`): ``slot_fn`` maps a PC to its
     :class:`PreDecodedSlot`, and the cache builds aligned packets with
-    :func:`packet_span`, recording whether each packet contains any
-    control-flow instruction (the replay fast path's branchless test).
-    Valid because the instruction image is immutable during a run.
+    :func:`packet_span`.  Valid because the instruction image is immutable
+    during a run.
     """
 
     __slots__ = ("slot_fn", "fetch_width", "_packets")
@@ -72,18 +71,17 @@ class PacketCache:
         self.fetch_width = fetch_width
         self._packets = {}
 
-    def packet(self, fetch_pc: int) -> Tuple[Tuple[PreDecodedSlot, ...], bool]:
-        """``(slots, has_cfi)`` for the packet fetched at ``fetch_pc``."""
-        entry = self._packets.get(fetch_pc)
-        if entry is None:
+    def packet(self, fetch_pc: int) -> Tuple[PreDecodedSlot, ...]:
+        """The pre-decoded slots of the packet fetched at ``fetch_pc``."""
+        slots = self._packets.get(fetch_pc)
+        if slots is None:
             slot_fn = self.slot_fn
             slots = tuple(
                 slot_fn(fetch_pc + i)
                 for i in range(packet_span(fetch_pc, self.fetch_width))
             )
-            entry = (slots, any(s.is_cfi for s in slots))
-            self._packets[fetch_pc] = entry
-        return entry
+            self._packets[fetch_pc] = slots
+        return slots
 
 
 @lru_cache(maxsize=65536)
@@ -93,8 +91,8 @@ def predecode_slot(
     """Pre-decode one fetched instruction into its slot-kind summary.
 
     This is the single pre-decode rule shared by the cycle-level frontend
-    (:class:`repro.frontend.core.Core`) and the trace-driven simulator
-    (:class:`repro.eval.tracesim.TraceSimulator`), so the two evaluation
+    (:class:`repro.frontend.core.Core`) and the ``trace`` backend
+    (:mod:`repro.backends.trace`), so the two evaluation
     paths cannot diverge on instruction classification.  The function is
     pure (``Instruction`` is a frozen value type) and memoized: the same
     static instruction is re-decoded millions of times over a run, and the

@@ -3,16 +3,16 @@
 This plays the role of the paper's FireSim simulations plus the Linux
 ``perf`` measurements: :func:`run_workload` attaches a composed predictor to
 the host-core model, runs a workload to completion, and returns the metrics
-Fig. 10 reports.  :class:`TraceSimulator` additionally provides the
-trace-driven software-simulator methodology the paper argues *against*
-(§II-B), so the modelling gap is itself measurable.
+Fig. 10 reports.  ``run_workload(..., backend="trace")`` additionally runs
+the trace-driven software-simulator methodology the paper argues *against*
+(§II-B) over the same predictor, so the modelling gap is itself
+measurable.
 """
 
 from repro.eval.cache import ResultCache
 from repro.eval.metrics import RunResult, harmonic_mean
 from repro.eval.parallel import EvalJob, ParallelRunner, job_cache_key
 from repro.eval.runner import run_workload, run_suite
-from repro.eval.tracesim import TraceSimulator, trace_accuracy
 from repro.eval.comparison import EvaluatedSystem, evaluated_systems
 from repro.eval.artifacts import Regression, compare_results, load_results, save_results
 from repro.eval.golden import check_goldens, update_goldens
@@ -41,8 +41,6 @@ __all__ = [
     "harmonic_mean",
     "run_workload",
     "run_suite",
-    "TraceSimulator",
-    "trace_accuracy",
     "EvaluatedSystem",
     "evaluated_systems",
     "Regression",

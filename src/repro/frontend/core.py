@@ -621,7 +621,7 @@ class Core:
     def _issue_fetch(self) -> None:
         fetch_pc = self._fetch_pc
         if self._memo:
-            slots = self._packets.packet(fetch_pc)[0]
+            slots = self._packets.packet(fetch_pc)
         else:
             width = packet_span(fetch_pc, self.config.fetch_width)
             slots = [self._predecode_slot(fetch_pc + i) for i in range(width)]

@@ -1,7 +1,7 @@
 """The columnar segment engine: batch-predict branch segments between
 mispredicts.
 
-The scalar replay walker (:func:`repro.backends.replay.drive_columns`)
+The replay walker (:func:`repro.backends.replay.drive_columns`) otherwise
 steps packet by packet through Python component code.  This engine instead
 takes a *window* of upcoming branch records, reconstructs every fetch
 packet the walker would form, evaluates the composed topology over all of
@@ -241,7 +241,8 @@ def _collect_kernels(node) -> List[object]:
 def engine_for(predictor) -> Optional["SegmentEngine"]:
     """Build a segment engine for ``predictor``, or None when ineligible.
 
-    The gate mirrors the ``drive_columns`` preconditions plus the
+    The gate mirrors the preconditions ``drive_columns`` places on its
+    arithmetic skip (a ``branchless_inert`` predictor) plus the
     columnar-specific ones: override-only topology, kernels for every
     component, matching fetch widths, a <=64-bit global history (the
     rolling-history builder's register width), and no local/path history
@@ -252,7 +253,7 @@ def engine_for(predictor) -> Optional["SegmentEngine"]:
     one exists (SPEC006 keeps the two in agreement for the shipped
     library).  Spec-less third-party components fall back to kernel
     presence alone.  Telemetry and stale-history windows are runtime
-    conditions checked by the driver, not here.
+    conditions checked by ``drive_columns``, not here.
     """
     config = predictor.config
     if config.serialize_cfi or config.global_history_bits > 64:

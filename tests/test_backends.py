@@ -21,15 +21,20 @@ from repro.backends import (
     backend_names,
     get_backend,
 )
-from repro.backends.packets import drive_stream, program_packets
-from repro.backends.replay import drive_columns, trace_packets, trace_stream
+from repro.backends.base import counts_result
+from repro.backends.packets import (
+    WalkCounts,
+    drive_stream,
+    interpreter_stream,
+    program_packets,
+)
+from repro.backends.replay import drive_columns, trace_packets
 from repro.backends.trace import TraceBackend
 from repro.components.library import standard_library
 from repro.core.composer import ComposerConfig, compose
 from repro.core.interface import PredictorComponent, StorageReport
 from repro.eval.runner import run_workload
 from repro.kernels.engine import TraceColumns, engine_for
-from repro.eval.tracesim import TraceResult
 from repro.isa.program import Program
 from repro.eval.parallel import EvalJob, ParallelRunner, _with_trace, job_cache_key
 from repro.workloads import registry
@@ -43,6 +48,7 @@ from repro.workloads.registry import (
     workload_names,
 )
 from repro.workloads.traces import BranchTrace, capture_trace
+from tests.fixtures import bad_components
 
 BUDGET = 8_000
 
@@ -247,23 +253,29 @@ class TestBitIdentity:
         assert t.backend == "trace" and r.backend == "replay"
 
     def test_columnar_walker_matches_stream_walkers(self, micro_program):
-        """drive_columns == drive_stream, skipping or not."""
+        """drive_columns over the trace == drive_stream over the
+        interpreter; the arithmetic skip only saves predictor queries."""
         trace = capture_trace(micro_program, max_instructions=BUDGET)
         walked = {}
-        for label in ("columns", "skip", "full"):
+        for label in ("columns", "stream"):
             predictor = presets.build("b2")
-            packets = trace_packets(trace, predictor.config.fetch_width)
+            width = predictor.config.fetch_width
             if label == "columns":
-                w = drive_columns(predictor, trace, packets, BUDGET)
+                w = drive_columns(
+                    predictor, trace, trace_packets(trace, width), BUDGET
+                )
             else:
                 w = drive_stream(
                     predictor,
-                    trace_stream(trace, BUDGET),
-                    packets,
-                    skip_inert=(label == "skip"),
+                    interpreter_stream(micro_program, BUDGET),
+                    program_packets(micro_program, width),
                 )
-            walked[label] = (w.instructions, w.branches, w.mispredicts)
-        assert walked["columns"] == walked["skip"] == walked["full"]
+            walked[label] = (
+                (w.instructions, w.branches, w.mispredicts),
+                predictor.stats.predictions,
+            )
+        assert walked["columns"][0] == walked["stream"][0]
+        assert walked["columns"][1] < walked["stream"][1]
 
     def test_stale_history_window_gates_the_skip(self, micro_program):
         """``no_replay`` repair keeps post-mispredict queries exact."""
@@ -271,12 +283,16 @@ class TestBitIdentity:
         results = []
         for use_columns in (True, False):
             predictor = presets.build("b2", ghist_repair_mode="no_replay")
-            packets = trace_packets(trace, predictor.config.fetch_width)
+            width = predictor.config.fetch_width
             if use_columns:
-                w = drive_columns(predictor, trace, packets, BUDGET)
+                w = drive_columns(
+                    predictor, trace, trace_packets(trace, width), BUDGET
+                )
             else:
                 w = drive_stream(
-                    predictor, trace_stream(trace, BUDGET), packets
+                    predictor,
+                    interpreter_stream(micro_program, BUDGET),
+                    program_packets(micro_program, width),
                 )
             results.append(
                 (w.instructions, w.branches, w.mispredicts,
@@ -288,21 +304,57 @@ class TestBitIdentity:
     def test_telemetry_forces_the_fallback_walker_and_matches(
         self, micro_program, micro_npz
     ):
+        """Telemetry turns the skip off: replay then queries every packet,
+        exactly as many as the ``trace`` backend, with identical counts."""
         limits = RunLimits(max_instructions=BUDGET)
         stored = WorkloadSource(name="m", trace_path=micro_npz)
-        bare = get_backend("replay").run(
-            presets.build("b2"), stored, limits
-        )
         from repro.frontend.config import CoreConfig
 
-        with_tel = get_backend("replay").run(
-            presets.build("b2"),
-            stored,
-            limits,
-            core_config=CoreConfig(telemetry=True),
+        runs = {}
+        for label in ("bare", "telemetry", "trace"):
+            predictor = presets.build("b2")
+            if label == "trace":
+                result = get_backend("trace").run(
+                    predictor,
+                    WorkloadSource(name="m", program=micro_program),
+                    limits,
+                )
+            else:
+                result = get_backend("replay").run(
+                    predictor,
+                    stored,
+                    limits,
+                    core_config=CoreConfig(telemetry=label == "telemetry"),
+                )
+            runs[label] = (result, predictor.stats.predictions)
+        bare, with_tel, trace = (
+            runs[k][0] for k in ("bare", "telemetry", "trace")
         )
-        assert counts(bare) == counts(with_tel)
+        assert counts(bare) == counts(with_tel) == counts(trace)
         assert with_tel.telemetry is not None and bare.telemetry is None
+        assert runs["telemetry"][1] == runs["trace"][1] > runs["bare"][1]
+
+    def test_non_inert_composition_replay_matches_trace(
+        self, micro_program, micro_npz
+    ):
+        """A component that honestly learns on branchless packets turns the
+        skip off; replay still reproduces ``trace`` query for query."""
+        library = standard_library().with_params(
+            "LEAK", lambda name, lat: bad_components.LeakyReset(name, lat)
+        )
+        topology = "LEAK2 > GTAG3 > BTB2 > BIM2"
+        limits = RunLimits(max_instructions=BUDGET)
+        runs = {}
+        for backend, source in (
+            ("trace", WorkloadSource(name="m", program=micro_program)),
+            ("replay", WorkloadSource(name="m", trace_path=micro_npz)),
+        ):
+            predictor = compose(topology, library, ComposerConfig())
+            assert not predictor.branchless_inert
+            result = get_backend(backend).run(predictor, source, limits)
+            runs[backend] = (counts(result), predictor.stats.predictions)
+        assert runs["replay"] == runs["trace"]
+        assert runs["trace"][0][1] > 0
 
     def test_scalar_pipeline_replay_matches_trace(self, micro_program):
         """fetch_width=1: the backend-overhead benchmark configuration."""
@@ -472,9 +524,8 @@ class TestKernelSegmentEdges:
         window length the kernel walk, the scalar columnar walk, and the
         full stream walk agree bit for bit — including segments that end
         exactly where a window opens or closes."""
-        trace = capture_trace(
-            build_micro("counted_loops", scale=0.2), max_instructions=BUDGET
-        )
+        program = build_micro("counted_loops", scale=0.2)
+        trace = capture_trace(program, max_instructions=BUDGET)
         sigs = []
         stale = []
         for mode in ("kernel", "scalar", "stream"):
@@ -483,13 +534,16 @@ class TestKernelSegmentEdges:
                 ghist_repair_mode="no_replay",
                 ghist_corruption_window=window,
             )
-            packets = trace_packets(trace, predictor.config.fetch_width)
+            width = predictor.config.fetch_width
             if mode == "stream":
                 w = drive_stream(
-                    predictor, trace_stream(trace, BUDGET), packets
+                    predictor,
+                    interpreter_stream(program, BUDGET),
+                    program_packets(program, width),
                 )
             else:
                 engine = engine_for(predictor) if mode == "kernel" else None
+                packets = trace_packets(trace, width)
                 w = drive_columns(predictor, trace, packets, BUDGET, engine=engine)
             sigs.append((w.instructions, w.branches, w.mispredicts))
             stale.append(predictor.stats.stale_history_queries)
@@ -530,17 +584,6 @@ class TestKernelSegmentEdges:
 
 
 class TestMetrics:
-    def test_trace_result_mpki_is_per_instruction(self):
-        result = TraceResult(branches=200, mispredicts=10, instructions=4000)
-        assert result.mpki == pytest.approx(2.5)
-        assert result.mpki_per_branch == pytest.approx(50.0)
-        assert result.accuracy == pytest.approx(0.95)
-
-    def test_trace_result_mpki_zero_without_instruction_count(self):
-        legacy = TraceResult(branches=200, mispredicts=10)
-        assert legacy.mpki == 0.0
-        assert legacy.mpki_per_branch == pytest.approx(50.0)
-
     def test_counts_result_mpki_uses_instructions(self, micro_program):
         r = run_workload(
             "b2", micro_program, max_instructions=BUDGET, backend="trace"
@@ -548,6 +591,13 @@ class TestMetrics:
         assert r.mpki == pytest.approx(
             1000.0 * r.branch_mispredicts / r.instructions
         )
+        result = counts_result("s", "w", WalkCounts(4000, 200, 10), "trace")
+        assert result.mpki == pytest.approx(2.5)
+        assert result.branch_accuracy == pytest.approx(0.95)
+        # Zero denominators: no instructions, no branches.
+        empty = counts_result("s", "w", WalkCounts(0, 0, 0), "trace")
+        assert empty.mpki == 0.0
+        assert empty.branch_accuracy == 1.0
 
     def test_trace_backend_applies_default_budget(self):
         # A 6-instruction program halts long before the default cap.

@@ -1,4 +1,4 @@
-"""Tests for the evaluation harness, trace simulator, area model, and
+"""Tests for the evaluation harness, trace-driven backend, area model, and
 commercial-core proxies."""
 
 import pytest
@@ -9,7 +9,6 @@ from repro.eval import (
     harmonic_mean,
     run_suite,
     run_workload,
-    trace_accuracy,
 )
 from repro.eval.comparison import evaluated_systems, format_table
 from repro.eval.metrics import arithmetic_mean
@@ -81,26 +80,32 @@ class TestRunner:
 class TestTraceSim:
     def test_trace_counts_branches(self):
         program = tiny_program(100)
-        result = trace_accuracy(presets.build("tage_l"), program)
+        result = run_workload("tage_l", program, backend="trace")
         # 100 loop back-edges + 100 mod-4 branches
         assert result.branches == 200
 
     def test_trace_learns_periodic_pattern(self):
         program = tiny_program(200)
-        result = trace_accuracy(presets.build("tage_l"), program)
-        assert result.accuracy > 0.9
+        result = run_workload("tage_l", program, backend="trace")
+        assert result.branch_accuracy > 0.9
 
     def test_trace_vs_core_modeling_gap_exists(self):
         """§II-B: trace-driven simulation mismodels speculative execution;
         the two methodologies must be close but not identical on a workload
         with mispredictions."""
         program = build_dhrystone(scale=0.2)
-        trace_result = trace_accuracy(presets.build("tage_l"), program)
+        trace_result = run_workload("tage_l", program, backend="trace")
         core_result = run_workload("tage_l", program)
-        assert abs(trace_result.accuracy - core_result.branch_accuracy) < 0.2
-        # The trace simulator sees no wrong-path pollution, so it is usually
+        assert (
+            abs(trace_result.branch_accuracy - core_result.branch_accuracy)
+            < 0.2
+        )
+        # The trace backend sees no wrong-path pollution, so it is usually
         # (not tautologically) at least as accurate.
-        assert trace_result.accuracy >= core_result.branch_accuracy - 0.02
+        assert (
+            trace_result.branch_accuracy
+            >= core_result.branch_accuracy - 0.02
+        )
 
 
 class TestAreaModel:

@@ -27,7 +27,7 @@ from repro.components.library import standard_library
 from repro.core import ComposerConfig, compose
 from repro.core.events import PredictRequest, UpdateBundle
 from repro.core.interface import PredictorComponent, StorageReport
-from repro.core.prediction import PredictionVector
+from repro.core.prediction import PredictionVector, SlotPrediction
 from repro.eval import run_workload
 from repro.workloads import build_specint
 
@@ -67,22 +67,25 @@ class AgreeFilter(PredictorComponent):
     def lookup(
         self, req: PredictRequest, predict_in: Sequence[PredictionVector]
     ) -> Tuple[PredictionVector, int]:
-        out = predict_in[0].copy()
-        for lane, slot in enumerate(predict_in[0].slots):
+        vec = predict_in[0]
+        for lane, slot in enumerate(vec.slots):
             if not (slot.hit and slot.is_branch):
                 continue
             index, tag = self._index_tag(req.fetch_pc + lane, req.ghist)
             if self._valid[index] and int(self._tags[index]) == tag:
                 ctr = int(self._ctrs[index])
-                out.slots[lane].taken = counter_taken(ctr, 2)
-                out.slots[lane].hit = True
-                meta = self._codec.pack(hit=1, ctr=ctr, lane=lane,
-                                        inc=int(slot.taken))
-            else:
-                meta = self._codec.pack(hit=0, ctr=0, lane=lane,
-                                        inc=int(slot.taken))
-            return out, meta
-        return out, self._codec.pack(hit=0, ctr=0, lane=0, inc=0)
+                # Slots are never assigned to: build a new one for the lane
+                # this component predicts and share the rest.
+                out = vec.with_slot(lane, SlotPrediction(
+                    True, slot.is_branch, slot.is_jump, counter_taken(ctr, 2),
+                    slot.target,
+                ))
+                return out, self._codec.pack(hit=1, ctr=ctr, lane=lane,
+                                             inc=int(slot.taken))
+            # Tag miss: pass the incoming prediction through unchanged.
+            return vec, self._codec.pack(hit=0, ctr=0, lane=lane,
+                                         inc=int(slot.taken))
+        return vec, self._codec.pack(hit=0, ctr=0, lane=0, inc=0)
 
     def on_update(self, bundle: UpdateBundle) -> None:
         fields = self._codec.unpack(bundle.meta)

@@ -20,6 +20,7 @@ CON006  storage() breakdown does not sum to declared totals
 CON007  same seed, different behavior (non-determinism)
 CON008  branchless packet changes state despite branchless_inert
 CON009  columnar kernel lookup diverges from the scalar lookup
+CON010  lookup mutates its request, or a handler its bundle
 ======  ========================================================
 
 CON008 guards the replay backend's fast path: packets with no control-flow
@@ -35,6 +36,15 @@ reproduces the scalar ``lookup`` slot for slot against the same frozen
 tables.  The check sweeps a seeded batch of random packets (random fetch
 PCs, global histories, and input vectors) through both paths on the
 stimulus-warmed instance and compares every produced slot.
+
+CON010 guards the composer's sharing of per-packet records: one
+:class:`~repro.core.events.PredictRequest` goes to every component's
+``lookup`` and one :class:`~repro.core.events.UpdateBundle` to every
+component handling an event (only ``meta`` is reset between them), so a
+component that assigns to either corrupts what the components after it
+see.  The harness snapshots the request before each ``lookup`` and the
+bundle before each ``fire``/``on_mispredict``/``on_repair``/``on_update``
+and compares after the call.
 
 Determinism and reset are checked with *state fingerprints*: a canonical
 hash over the component's full object graph (numpy arrays by dtype, shape
@@ -52,6 +62,7 @@ without a spec fall back to the historical fixed dimensions.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import random
 from collections import deque
@@ -301,6 +312,16 @@ def _slot_key(slot: SlotPrediction) -> tuple:
     return (slot.hit, slot.is_branch, slot.is_jump, slot.taken, slot.target)
 
 
+def _request_key(req: PredictRequest) -> tuple:
+    return (req.fetch_pc, req.width, req.ghist, req.lhist, req.phist)
+
+
+def _bundle_key(bundle: UpdateBundle) -> tuple:
+    return tuple(
+        getattr(bundle, field.name) for field in dataclasses.fields(bundle)
+    )
+
+
 # ----------------------------------------------------------------------
 # Per-component checks
 # ----------------------------------------------------------------------
@@ -380,7 +401,8 @@ def _check_input_mutation(
             report.report(
                 "CON002",
                 f"step {step}: lookup mutated predict_in[{k}] in place; "
-                f"components must copy before overriding",
+                f"slots are shared read-only, so build new slots for the "
+                f"lanes you predict instead of assigning to these",
             )
 
 
@@ -422,6 +444,27 @@ def _check_meta_payload_sweep(
             break
 
 
+def _deliver(
+    handler: Callable[[UpdateBundle], None],
+    bundle: UpdateBundle,
+    report: Optional["_Reporter"],
+    step: int,
+) -> None:
+    """Run one event handler; CON010 if it assigned to its bundle."""
+    if report is None:
+        handler(bundle)
+        return
+    before = _bundle_key(bundle)
+    handler(bundle)
+    if _bundle_key(bundle) != before:
+        report.report(
+            "CON010",
+            f"step {step}: {handler.__name__} assigned to the UpdateBundle "
+            f"it was given; one bundle is shared by every component "
+            f"handling the event, so handlers must treat it as read-only",
+        )
+
+
 def _drive(
     component: PredictorComponent,
     seed: int,
@@ -439,18 +482,26 @@ def _drive(
     for step in range(steps):
         req, inputs = _stimulus(rng, component.n_inputs, dims)
         snapshots = [v.copy() for v in inputs]
+        req_before = _request_key(req)
         out, meta = component.lookup(req, inputs)
         if report is not None:
             _check_lookup_contract(component, req, inputs, out, meta, report, step)
             _check_input_mutation(inputs, snapshots, report, step)
+            if _request_key(req) != req_before:
+                report.report(
+                    "CON010",
+                    f"step {step}: lookup assigned to its PredictRequest; "
+                    f"one request is shared by every component of the "
+                    f"topology, so lookups must treat it as read-only",
+                )
         log.append((req.fetch_pc, meta, tuple(_slot_key(s) for s in out.slots)))
 
         bundle = _bundle(rng, req, out, inputs, meta)
         if overrides_fire:
             if check_fire_repair and report is not None:
                 before = state_fingerprint(component)
-                component.fire(bundle)
-                component.on_repair(bundle)
+                _deliver(component.fire, bundle, report, step)
+                _deliver(component.on_repair, bundle, report, step)
                 if state_fingerprint(component) != before:
                     report.report(
                         "CON005",
@@ -458,18 +509,22 @@ def _drive(
                         f"from the state before fire; repair must undo the "
                         f"speculative update exactly",
                     )
-                component.fire(bundle)  # keep speculative state advancing
+                # Keep speculative state advancing.
+                _deliver(component.fire, bundle, report, step)
             else:
-                component.fire(bundle)
+                _deliver(component.fire, bundle, report, step)
         event = rng.random()
         if event < 0.25:
-            component.on_mispredict(
-                _bundle(rng, req, out, inputs, meta, mispredicted=True)
+            _deliver(
+                component.on_mispredict,
+                _bundle(rng, req, out, inputs, meta, mispredicted=True),
+                report,
+                step,
             )
         elif event < 0.4 and overrides_fire:
-            component.on_repair(bundle)
+            _deliver(component.on_repair, bundle, report, step)
         else:
-            component.on_update(bundle)
+            _deliver(component.on_update, bundle, report, step)
     return log
 
 

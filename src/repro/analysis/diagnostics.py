@@ -39,6 +39,7 @@ RULES: Dict[str, tuple] = {
     "CON007": (ERROR, "component is not deterministic under a fixed seed"),
     "CON008": (ERROR, "branchless packet changes state despite branchless_inert"),
     "CON009": (ERROR, "columnar kernel lookup diverges from the scalar lookup"),
+    "CON010": (ERROR, "lookup mutates its request or a handler its bundle"),
     # Source lints (repro.analysis.lints)
     "RPR001": (ERROR, "unseeded RNG or wall-clock use in deterministic code"),
     "RPR002": (ERROR, "mutable default argument"),

@@ -237,7 +237,7 @@ class _FileLinter(ast.NodeVisitor):
             self._report(
                 "RPR004",
                 f"{node.func.attr}() mutates an incoming prediction vector; "
-                f"copy predict_in before overriding slots (§III-F)",
+                f"build new slots for the lanes you predict instead (§III-F)",
                 node,
             )
         self.generic_visit(node)
@@ -302,8 +302,8 @@ class _FileLinter(ast.NodeVisitor):
             if _call_root(target) == "predict_in":
                 self._report(
                     "RPR004",
-                    "assignment into an incoming prediction vector; copy "
-                    "predict_in before overriding slots (§III-F)",
+                    "assignment into an incoming prediction vector; build "
+                    "new slots for the lanes you predict instead (§III-F)",
                     node,
                 )
 

@@ -22,7 +22,7 @@ from repro._util import counter_taken, log2_exact
 from repro.components.base import IndexScheme, MetaCodec
 from repro.core.events import PredictRequest, UpdateBundle
 from repro.core.interface import PredictorComponent, StorageReport
-from repro.core.prediction import PredictionVector
+from repro.core.prediction import PredictionVector, SlotPrediction
 from repro.derive.tables import DerivedTable, derived_storage
 
 
@@ -97,16 +97,27 @@ class HBIM(PredictorComponent):
         row = self._table[
             self._index(req.fetch_pc, req.ghist, req.lhist, req.phist)
         ].tolist()
-        out = predict_in[0].copy()
+        vec = predict_in[0]
         offset = req.fetch_pc % self.fetch_width
-        for slot_idx, slot in enumerate(out.slots):
-            counter = row[offset + slot_idx]
-            # An untagged table provides a base direction for every slot; it
-            # does not know branch locations or targets, so those fields pass
-            # through from predict_in (§III-F).
-            slot.hit = True
-            if not slot.is_jump:
-                slot.taken = counter_taken(counter, self.counter_bits)
+        bits = self.counter_bits
+        # An untagged table provides a base direction for every slot; it
+        # does not know branch locations or targets, so those fields pass
+        # through from predict_in (§III-F), as does a jump's direction.
+        out = PredictionVector(
+            vec.fetch_pc,
+            [
+                SlotPrediction(
+                    True,
+                    slot.is_branch,
+                    slot.is_jump,
+                    slot.taken
+                    if slot.is_jump
+                    else counter_taken(row[offset + i], bits),
+                    slot.target,
+                )
+                for i, slot in enumerate(vec.slots)
+            ],
+        )
         # A MetaCodec field with one lane packs as a scalar, so a scalar
         # (fetch_width=1) pipeline hands over the bare counter.
         meta = self._codec.pack(ctr=row if self.fetch_width > 1 else row[0])

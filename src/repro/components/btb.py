@@ -21,7 +21,7 @@ from repro._util import counter_taken, hash_pc, log2_exact, mask, saturating_upd
 from repro.components.base import MetaCodec
 from repro.core.events import PredictRequest, UpdateBundle
 from repro.core.interface import PredictorComponent, StorageReport
-from repro.core.prediction import PredictionVector
+from repro.core.prediction import PredictionVector, SlotPrediction
 
 #: Width of stored target addresses (word-addressed PCs).
 TARGET_BITS = 30
@@ -53,6 +53,7 @@ class BTB(PredictorComponent):
         self.fetch_width = fetch_width
         self.tag_bits = tag_bits
         self._index_bits = log2_exact(n_sets)
+        self._tag_mask = mask(tag_bits)
         shape = (n_sets, n_ways)
         self._valid = np.zeros(shape, dtype=bool)
         self._tags = np.zeros(shape, dtype=np.int64)
@@ -65,7 +66,7 @@ class BTB(PredictorComponent):
     def _index_tag(self, fetch_pc: int) -> Tuple[int, int]:
         packet = (fetch_pc - (fetch_pc % self.fetch_width)) // self.fetch_width
         index = hash_pc(packet, self._index_bits)
-        tag = (packet >> self._index_bits) & mask(self.tag_bits)
+        tag = (packet >> self._index_bits) & self._tag_mask
         return index, tag
 
     def _find_way(self, index: int, tag: int) -> Optional[int]:
@@ -80,28 +81,30 @@ class BTB(PredictorComponent):
     ) -> Tuple[PredictionVector, int]:
         index, tag = self._index_tag(req.fetch_pc)
         way = self._find_way(index, tag)
-        out = predict_in[0].copy()
+        vec = predict_in[0]
         if way is None:
             # Tag miss: pass the incoming prediction through unmodified
             # (§III-F), recording the miss in metadata.
-            return out, self._codec.pack(hit=0, way=0)
+            return vec, self._codec.pack(hit=0, way=0)
         offset = req.fetch_pc % self.fetch_width
-        for slot_idx, slot in enumerate(out.slots):
+        valid = self._slot_valid[index, way].tolist()
+        jump = self._slot_jump[index, way].tolist()
+        targets = self._targets[index, way].tolist()
+        slots = list(vec.slots)
+        for slot_idx, slot in enumerate(vec.slots):
             lane = offset + slot_idx
-            if not self._slot_valid[index, way, lane]:
+            if not valid[lane]:
                 continue
-            slot.hit = True
-            slot.target = int(self._targets[index, way, lane])
-            if self._slot_jump[index, way, lane]:
-                slot.is_jump = True
-                slot.is_branch = False
-                slot.taken = True
+            if jump[lane]:
+                slots[slot_idx] = SlotPrediction(True, False, True, True, targets[lane])
             else:
-                slot.is_branch = True
                 # Direction comes from predict_in where a direction
                 # predictor below already spoke; a bare BTB hit defaults to
                 # not-taken until some component predicts the direction.
-        return out, self._codec.pack(hit=1, way=way)
+                slots[slot_idx] = SlotPrediction(
+                    True, True, slot.is_jump, slot.taken, targets[lane]
+                )
+        return PredictionVector(vec.fetch_pc, slots), self._codec.pack(hit=1, way=way)
 
     # ------------------------------------------------------------------
     def on_update(self, bundle: UpdateBundle) -> None:
@@ -248,6 +251,7 @@ class MicroBTB(PredictorComponent):
         self.fetch_width = fetch_width
         self.tag_bits = tag_bits
         self.counter_bits = counter_bits
+        self._tag_mask = mask(tag_bits)
         self._valid = np.zeros(n_entries, dtype=bool)
         self._tags = np.zeros(n_entries, dtype=np.int64)
         self._cfi_idx = np.zeros(n_entries, dtype=np.int64)
@@ -259,7 +263,7 @@ class MicroBTB(PredictorComponent):
     # ------------------------------------------------------------------
     def _tag(self, fetch_pc: int) -> int:
         packet = (fetch_pc - (fetch_pc % self.fetch_width)) // self.fetch_width
-        return packet & mask(self.tag_bits)
+        return packet & self._tag_mask
 
     def _find(self, tag: int) -> Optional[int]:
         for entry in range(self.n_entries):
@@ -273,23 +277,27 @@ class MicroBTB(PredictorComponent):
     ) -> Tuple[PredictionVector, int]:
         tag = self._tag(req.fetch_pc)
         entry = self._find(tag)
-        out = predict_in[0].copy()
+        vec = predict_in[0]
         if entry is None:
-            return out, self._codec.pack(hit=0, entry=0, ctr=0)
+            return vec, self._codec.pack(hit=0, entry=0, ctr=0)
         offset = req.fetch_pc % self.fetch_width
         slot_idx = int(self._cfi_idx[entry]) - offset
         counter = int(self._ctrs[entry])
-        if 0 <= slot_idx < len(out.slots):
-            slot = out.slots[slot_idx]
-            slot.hit = True
-            slot.target = int(self._targets[entry])
+        if 0 <= slot_idx < len(vec.slots):
+            slot = vec.slots[slot_idx]
+            target = int(self._targets[entry])
             if self._is_jump[entry]:
-                slot.is_jump = True
-                slot.taken = True
+                new = SlotPrediction(True, slot.is_branch, True, True, target)
             else:
-                slot.is_branch = True
-                slot.taken = counter_taken(counter, self.counter_bits)
-        return out, self._codec.pack(hit=1, entry=entry, ctr=counter)
+                new = SlotPrediction(
+                    True,
+                    True,
+                    slot.is_jump,
+                    counter_taken(counter, self.counter_bits),
+                    target,
+                )
+            vec = vec.with_slot(slot_idx, new)
+        return vec, self._codec.pack(hit=1, entry=entry, ctr=counter)
 
     # ------------------------------------------------------------------
     def on_update(self, bundle: UpdateBundle) -> None:

@@ -22,7 +22,7 @@ from repro._util import counter_taken, fold_history, log2_exact, mask
 from repro.components.base import MetaCodec
 from repro.core.events import PredictRequest, UpdateBundle
 from repro.core.interface import PredictorComponent, StorageReport
-from repro.core.prediction import PredictionVector
+from repro.core.prediction import PredictionVector, SlotPrediction
 from repro.derive.tables import DerivedTable, derived_storage
 
 
@@ -55,6 +55,7 @@ class GTag(PredictorComponent):
         self.tag_bits = tag_bits
         self.counter_bits = counter_bits
         self._index_bits = log2_exact(n_sets)
+        self._tag_mask = mask(tag_bits)
         self._weak_nt = (1 << (counter_bits - 1)) - 1
         self._spec = self._build_spec()
         self._counters = DerivedTable(
@@ -76,7 +77,7 @@ class GTag(PredictorComponent):
         return (
             (packet >> 2)
             ^ fold_history(ghist, self.history_bits, self.tag_bits)
-        ) & mask(self.tag_bits)
+        ) & self._tag_mask
 
     def _index_tag(self, fetch_pc: int, ghist: int) -> Tuple[int, int]:
         return (
@@ -98,19 +99,29 @@ class GTag(PredictorComponent):
         self, req: PredictRequest, predict_in: Sequence[PredictionVector]
     ) -> Tuple[PredictionVector, int]:
         index, tag = self._index_tag(req.fetch_pc, req.ghist)
-        out = predict_in[0].copy()
+        vec = predict_in[0]
         hit = bool(self._valid[index]) and int(self._tags[index]) == tag
-        row = self._ctrs[index]
-        if hit:
-            offset = req.fetch_pc % self.fetch_width
-            for slot_idx, slot in enumerate(out.slots):
-                if slot.is_jump:
-                    continue
-                slot.hit = True
-                slot.taken = counter_taken(
-                    int(row[offset + slot_idx]), self.counter_bits
+        row = self._ctrs[index].tolist()
+        meta = self._codec.pack(hit=int(hit), ctr=row)
+        if not hit:
+            return vec, meta
+        offset = req.fetch_pc % self.fetch_width
+        bits = self.counter_bits
+        out = PredictionVector(
+            vec.fetch_pc,
+            [
+                slot
+                if slot.is_jump
+                else SlotPrediction(
+                    True,
+                    slot.is_branch,
+                    slot.is_jump,
+                    counter_taken(row[offset + i], bits),
+                    slot.target,
                 )
-        meta = self._codec.pack(hit=int(hit), ctr=row.tolist())
+                for i, slot in enumerate(vec.slots)
+            ],
+        )
         return out, meta
 
     # ------------------------------------------------------------------

@@ -25,7 +25,7 @@ from repro.components.base import MetaCodec
 from repro.components.btb import TARGET_BITS
 from repro.core.events import PredictRequest, UpdateBundle
 from repro.core.interface import PredictorComponent, StorageReport
-from repro.core.prediction import PredictionVector
+from repro.core.prediction import PredictionVector, SlotPrediction
 
 
 class ITTAGE(PredictorComponent):
@@ -71,6 +71,7 @@ class ITTAGE(PredictorComponent):
         )
         self.required_ghist_bits = max(self.history_lengths)
         self._index_bits = log2_exact(n_sets)
+        self._tag_mask = mask(tag_bits)
         n = len(self.history_lengths)
         self._valid = [np.zeros(n_sets, dtype=bool) for _ in range(n)]
         self._tags = [np.zeros(n_sets, dtype=np.int64) for _ in range(n)]
@@ -88,7 +89,7 @@ class ITTAGE(PredictorComponent):
         tag = (
             hash_pc(packet >> 1, self.tag_bits)
             ^ fold_history(ghist, length, self.tag_bits)
-        ) & mask(self.tag_bits)
+        ) & self._tag_mask
         return index, tag
 
     def _matches(self, fetch_pc: int, ghist: int) -> List[Tuple[int, int]]:
@@ -103,23 +104,23 @@ class ITTAGE(PredictorComponent):
     def lookup(
         self, req: PredictRequest, predict_in: Sequence[PredictionVector]
     ) -> Tuple[PredictionVector, int]:
-        out = predict_in[0].copy()
+        vec = predict_in[0]
         hits = self._matches(req.fetch_pc, req.ghist)
         if not hits:
-            return out, self._codec.pack(provider_valid=0, provider=0, lane=0, conf=0)
+            return vec, self._codec.pack(provider_valid=0, provider=0, lane=0, conf=0)
         provider, index = hits[-1]
         lane = int(self._lanes[provider][index])
         conf = int(self._conf[provider][index])
         offset = req.fetch_pc % self.fetch_width
         slot_idx = lane - offset
-        if 0 <= slot_idx < len(out.slots) and conf >= (1 << (self.conf_bits - 1)):
-            slot = out.slots[slot_idx]
-            slot.hit = True
-            slot.is_jump = True
-            slot.is_branch = False
-            slot.taken = True
-            slot.target = int(self._targets[provider][index])
-        return out, self._codec.pack(
+        if 0 <= slot_idx < len(vec.slots) and conf >= (1 << (self.conf_bits - 1)):
+            vec = vec.with_slot(
+                slot_idx,
+                SlotPrediction(
+                    True, False, True, True, int(self._targets[provider][index])
+                ),
+            )
+        return vec, self._codec.pack(
             provider_valid=1, provider=provider, lane=slot_idx if slot_idx >= 0 else 0,
             conf=conf,
         )

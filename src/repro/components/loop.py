@@ -21,7 +21,7 @@ from repro._util import hash_pc, log2_exact, mask
 from repro.components.base import MetaCodec
 from repro.core.events import PredictRequest, UpdateBundle
 from repro.core.interface import PredictorComponent, StorageReport
-from repro.core.prediction import PredictionVector
+from repro.core.prediction import PredictionVector, SlotPrediction
 
 
 class LoopPredictor(PredictorComponent):
@@ -55,6 +55,7 @@ class LoopPredictor(PredictorComponent):
         self.tag_bits = tag_bits
         self.iter_bits = iter_bits
         self._index_bits = log2_exact(n_entries)
+        self._tag_mask = mask(tag_bits)
         self._valid = np.zeros(n_entries, dtype=bool)
         self._tags = np.zeros(n_entries, dtype=np.int64)
         self._direction = np.zeros(n_entries, dtype=bool)  # loop-body direction
@@ -70,7 +71,7 @@ class LoopPredictor(PredictorComponent):
     # ------------------------------------------------------------------
     def _index_tag(self, branch_pc: int) -> Tuple[int, int]:
         index = hash_pc(branch_pc, self._index_bits)
-        tag = (branch_pc >> self._index_bits) & mask(self.tag_bits)
+        tag = (branch_pc >> self._index_bits) & self._tag_mask
         return index, tag
 
     def _entry_for(self, branch_pc: int) -> Optional[int]:
@@ -83,8 +84,8 @@ class LoopPredictor(PredictorComponent):
     def lookup(
         self, req: PredictRequest, predict_in: Sequence[PredictionVector]
     ) -> Tuple[PredictionVector, int]:
-        out = predict_in[0].copy()
-        for lane, slot in enumerate(predict_in[0].slots):
+        vec = predict_in[0]
+        for lane, slot in enumerate(vec.slots):
             if not (slot.hit and slot.is_branch):
                 continue
             entry = self._entry_for(req.fetch_pc + lane)
@@ -99,11 +100,14 @@ class LoopPredictor(PredictorComponent):
                 # missed speculative update), predicting exit on *every*
                 # remaining iteration would turn one mispredict into many.
                 predicted = not body if spec_iter == int(self._trip[entry]) else body
-                out_slot = out.slots[lane]
-                out_slot.hit = True
-                out_slot.taken = predicted
-            return out, meta
-        return out, self._codec.pack(cand_valid=0, lane=0, spec_iter=0)
+                vec = vec.with_slot(
+                    lane,
+                    SlotPrediction(
+                        True, slot.is_branch, slot.is_jump, predicted, slot.target
+                    ),
+                )
+            return vec, meta
+        return vec, self._codec.pack(cand_valid=0, lane=0, spec_iter=0)
 
     # ------------------------------------------------------------------
     def _meta_entry(self, bundle: UpdateBundle):

@@ -22,7 +22,7 @@ from repro._util import hash_pc, log2_exact, mask
 from repro.components.base import MetaCodec
 from repro.core.events import PredictRequest, UpdateBundle
 from repro.core.interface import PredictorComponent, StorageReport
-from repro.core.prediction import PredictionVector
+from repro.core.prediction import PredictionVector, SlotPrediction
 
 
 class Perceptron(PredictorComponent):
@@ -79,15 +79,16 @@ class Perceptron(PredictorComponent):
     def lookup(
         self, req: PredictRequest, predict_in: Sequence[PredictionVector]
     ) -> Tuple[PredictionVector, int]:
-        out = predict_in[0].copy()
-        for lane, slot in enumerate(predict_in[0].slots):
+        vec = predict_in[0]
+        for lane, slot in enumerate(vec.slots):
             if not (slot.hit and slot.is_branch):
                 continue
             _, total = self._dot(req.fetch_pc + lane, req.ghist)
             taken = total >= 0
-            out_slot = out.slots[lane]
-            out_slot.hit = True
-            out_slot.taken = taken
+            out = vec.with_slot(
+                lane,
+                SlotPrediction(True, slot.is_branch, slot.is_jump, taken, slot.target),
+            )
             meta = self._codec.pack(
                 cand_valid=1,
                 lane=lane,
@@ -95,7 +96,7 @@ class Perceptron(PredictorComponent):
                 magnitude=min(abs(total), mask(12)),
             )
             return out, meta
-        return out, self._codec.pack(cand_valid=0, lane=0, taken=0, magnitude=0)
+        return vec, self._codec.pack(cand_valid=0, lane=0, taken=0, magnitude=0)
 
     # ------------------------------------------------------------------
     def on_update(self, bundle: UpdateBundle) -> None:

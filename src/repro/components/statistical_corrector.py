@@ -18,7 +18,7 @@ from repro._util import fold_history, hash_pc, log2_exact, sign_extend
 from repro.components.base import MetaCodec
 from repro.core.events import PredictRequest, UpdateBundle
 from repro.core.interface import PredictorComponent, StorageReport
-from repro.core.prediction import PredictionVector
+from repro.core.prediction import PredictionVector, SlotPrediction
 
 
 class StatisticalCorrector(PredictorComponent):
@@ -101,8 +101,8 @@ class StatisticalCorrector(PredictorComponent):
     def lookup(
         self, req: PredictRequest, predict_in: Sequence[PredictionVector]
     ) -> Tuple[PredictionVector, int]:
-        out = predict_in[0].copy()
-        for lane, slot in enumerate(predict_in[0].slots):
+        vec = predict_in[0]
+        for lane, slot in enumerate(vec.slots):
             if not (slot.hit and slot.is_branch):
                 continue
             incoming = bool(slot.taken)
@@ -112,8 +112,12 @@ class StatisticalCorrector(PredictorComponent):
             corrected = total >= 0
             flipped = corrected != incoming and abs(total) >= self.flip_threshold
             if flipped:
-                out.slots[lane].taken = corrected
-                out.slots[lane].hit = True
+                vec = vec.with_slot(
+                    lane,
+                    SlotPrediction(
+                        True, slot.is_branch, slot.is_jump, corrected, slot.target
+                    ),
+                )
             meta = self._codec.pack(
                 cand_valid=1,
                 lane=lane,
@@ -121,8 +125,8 @@ class StatisticalCorrector(PredictorComponent):
                 ctr=[c & ((1 << self.counter_bits) - 1) for c in counters],
                 flipped=int(flipped),
             )
-            return out, meta
-        return out, self._codec.pack(
+            return vec, meta
+        return vec, self._codec.pack(
             cand_valid=0, lane=0, incoming=0, ctr=[0] * len(self._tables), flipped=0
         )
 

@@ -30,7 +30,7 @@ from repro._util import (
 from repro.components.base import MetaCodec
 from repro.core.events import PredictRequest, UpdateBundle
 from repro.core.interface import PredictorComponent, StorageReport
-from repro.core.prediction import PredictionVector
+from repro.core.prediction import PredictionVector, SlotPrediction
 
 
 @dataclass(frozen=True)
@@ -177,11 +177,11 @@ class TAGE(PredictorComponent):
             if index is not None:
                 hits.append((table, index))
 
-        out = predict_in[0].copy()
+        vec = out = predict_in[0]
         offset = req.fetch_pc % self.fetch_width
         width = self.fetch_width
         base_taken = [False] * width
-        for slot_idx, slot in enumerate(predict_in[0].slots):
+        for slot_idx, slot in enumerate(vec.slots):
             base_taken[offset + slot_idx] = bool(slot.hit and slot.taken)
 
         provider_valid = alt_valid = 0
@@ -205,7 +205,8 @@ class TAGE(PredictorComponent):
                     counter_taken(c, self.counter_bits)
                     for c in alt_row.tolist()
                 ]
-            for slot_idx, slot in enumerate(out.slots):
+            slots = list(vec.slots)
+            for slot_idx, slot in enumerate(vec.slots):
                 if slot.is_jump:
                     continue
                 lane = offset + slot_idx
@@ -219,8 +220,10 @@ class TAGE(PredictorComponent):
                 if newly_allocated and self._use_alt_on_na >= 8:
                     taken = alt_taken[lane]
                     used_alt[lane] = 1
-                slot.hit = True
-                slot.taken = taken
+                slots[slot_idx] = SlotPrediction(
+                    True, slot.is_branch, slot.is_jump, taken, slot.target
+                )
+            out = PredictionVector(vec.fetch_pc, slots)
 
         meta = self._codec.pack(
             provider_valid=provider_valid,

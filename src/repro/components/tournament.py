@@ -17,7 +17,7 @@ from repro._util import fold_history, hash_pc, log2_exact, saturating_update
 from repro.components.base import MetaCodec
 from repro.core.events import PredictRequest, UpdateBundle
 from repro.core.interface import InterfaceError, PredictorComponent, StorageReport
-from repro.core.prediction import PredictionVector
+from repro.core.prediction import PredictionVector, SlotPrediction
 
 
 class Tourney(PredictorComponent):
@@ -81,29 +81,32 @@ class Tourney(PredictorComponent):
                 f"{self.name}: expected 2 predict_in vectors, got {len(predict_in)}"
             )
         first, second = predict_in
-        row = self._table[self._index(req.fetch_pc, req.ghist)]
+        row = self._table[self._index(req.fetch_pc, req.ghist)].tolist()
         offset = req.fetch_pc % self.fetch_width
-        out = first.copy()
         half = 1 << (self.counter_bits - 1)
-        for slot_idx, slot in enumerate(out.slots):
-            counter = int(row[offset + slot_idx])
-            chosen = second.slots[slot_idx] if counter >= half else first.slots[slot_idx]
+        slots = []
+        for slot_idx, slot in enumerate(first.slots):
+            if row[offset + slot_idx] >= half:
+                chosen, other = second.slots[slot_idx], slot
+            else:
+                chosen, other = slot, second.slots[slot_idx]
             if chosen.hit and not slot.is_jump:
-                slot.hit = True
-                slot.taken = chosen.taken
                 # Targets flow from whichever side knows them; prefer the
                 # chosen side's target, falling back to the other.
-                other = first.slots[slot_idx] if counter >= half else second.slots[slot_idx]
-                slot.target = (
-                    chosen.target if chosen.target is not None else other.target
+                slot = SlotPrediction(
+                    True,
+                    chosen.is_branch or other.is_branch,
+                    slot.is_jump,
+                    chosen.taken,
+                    chosen.target if chosen.target is not None else other.target,
                 )
-                slot.is_branch = chosen.is_branch or other.is_branch
+            slots.append(slot)
         meta = self._codec.pack(
-            choice=row.tolist(),
-            a_taken=[int(s.hit and s.taken) for s in _padded(first, self.fetch_width, offset)],
-            b_taken=[int(s.hit and s.taken) for s in _padded(second, self.fetch_width, offset)],
+            choice=row,
+            a_taken=_taken_lanes(first, self.fetch_width, offset),
+            b_taken=_taken_lanes(second, self.fetch_width, offset),
         )
-        return out, meta
+        return PredictionVector(first.fetch_pc, slots), meta
 
     # ------------------------------------------------------------------
     def on_update(self, bundle: UpdateBundle) -> None:
@@ -173,11 +176,10 @@ class Tourney(PredictorComponent):
         )
 
 
-def _padded(vector: PredictionVector, fetch_width: int, offset: int):
-    """Expand a packet-span vector to full fetch-width lanes for metadata."""
-    from repro.core.prediction import SlotPrediction
-
-    lanes = [SlotPrediction() for _ in range(fetch_width)]
+def _taken_lanes(vector: PredictionVector, fetch_width: int, offset: int):
+    """Per-lane ``hit and taken`` bits of a packet-span vector, padded with
+    zeros to full fetch-width lanes for metadata."""
+    lanes = [0] * fetch_width
     for slot_idx, slot in enumerate(vector.slots):
-        lanes[offset + slot_idx] = slot
+        lanes[offset + slot_idx] = int(slot.hit and slot.taken)
     return lanes

@@ -39,7 +39,7 @@ from repro._util import counter_taken, log2_exact, mask
 from repro.components.base import MetaCodec
 from repro.core.events import PredictRequest, UpdateBundle
 from repro.core.interface import InterfaceError, PredictorComponent, StorageReport
-from repro.core.prediction import PredictionVector
+from repro.core.prediction import PredictionVector, SlotPrediction
 from repro.derive.tables import DerivedTable, derived_storage
 
 VARIANTS = ("GAg", "GAp", "PAg", "PAp")
@@ -144,21 +144,29 @@ class TwoLevel(PredictorComponent):
     def lookup(
         self, req: PredictRequest, predict_in: Sequence[PredictionVector]
     ) -> Tuple[PredictionVector, int]:
-        out = predict_in[0].copy()
-        for lane, slot in enumerate(predict_in[0].slots):
+        vec = predict_in[0]
+        for lane, slot in enumerate(vec.slots):
             if not (slot.hit and slot.is_branch):
                 continue
             branch_pc = req.fetch_pc + lane
             history = self._level1_history(branch_pc, req.ghist)
             table, index = self._l2_slot(branch_pc, history)
             counter = int(self._l2[table, index])
-            out.slots[lane].hit = True
-            out.slots[lane].taken = counter_taken(counter, self.counter_bits)
+            out = vec.with_slot(
+                lane,
+                SlotPrediction(
+                    True,
+                    slot.is_branch,
+                    slot.is_jump,
+                    counter_taken(counter, self.counter_bits),
+                    slot.target,
+                ),
+            )
             meta = self._codec.pack(
                 cand_valid=1, lane=lane, hist=history, ctr=counter
             )
             return out, meta
-        return out, self._codec.pack(cand_valid=0, lane=0, hist=0, ctr=0)
+        return vec, self._codec.pack(cand_valid=0, lane=0, hist=0, ctr=0)
 
     # ------------------------------------------------------------------
     def _meta(self, bundle: UpdateBundle):

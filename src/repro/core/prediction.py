@@ -117,6 +117,15 @@ def predecode_slot(
 class SlotPrediction:
     """Prediction for a single instruction slot within a fetch packet.
 
+    Slot predictions are immutable by convention: once built, a slot is
+    never assigned to, so vectors share slot objects freely (a component
+    that changes nothing returns its ``predict_in`` vector itself, and one
+    that predicts some slots builds a new vector around new slots for
+    those lanes only).  The ``__slots__`` class stays mutable in Python
+    because construction and attribute reads are the hottest operations
+    in a sweep; CON002 catches a lookup that assigns to a slot it was
+    handed.
+
     Attributes
     ----------
     hit:
@@ -155,15 +164,9 @@ class SlotPrediction:
         self.target = target
 
     def copy(self) -> "SlotPrediction":
-        # The hottest allocation in a sweep (every component lookup copies
-        # its input vector): bypass __init__ and write the slots directly.
-        clone = SlotPrediction.__new__(SlotPrediction)
-        clone.hit = self.hit
-        clone.is_branch = self.is_branch
-        clone.is_jump = self.is_jump
-        clone.taken = self.taken
-        clone.target = self.target
-        return clone
+        return SlotPrediction(
+            self.hit, self.is_branch, self.is_jump, self.taken, self.target
+        )
 
     @property
     def redirects(self) -> bool:
@@ -186,6 +189,12 @@ class SlotPrediction:
         return f"<{kind} {direction} ->{self.target}>"
 
 
+#: The empty prediction (no hit, fall through).  Shared by every lane the
+#: composer's pre-decode correction clears; safe because slots are never
+#: assigned to once built.
+EMPTY_SLOT = SlotPrediction()
+
+
 class PredictionVector:
     """A superscalar prediction: one slot per instruction in the packet."""
 
@@ -205,7 +214,19 @@ class PredictionVector:
         return len(self.slots)
 
     def copy(self) -> "PredictionVector":
+        """A deep copy with fresh slot objects.
+
+        Not used on the prediction path (vectors and slots are shared
+        read-only there); the contract harness snapshots inputs with it.
+        """
         return PredictionVector(self.fetch_pc, [s.copy() for s in self.slots])
+
+    def with_slot(self, index: int, slot: SlotPrediction) -> "PredictionVector":
+        """A new vector equal to this one except that ``slots[index]`` is
+        ``slot``; every other slot object is shared."""
+        slots = list(self.slots)
+        slots[index] = slot
+        return PredictionVector(self.fetch_pc, slots)
 
     def cfi_index(self) -> Optional[int]:
         """Index of the first slot predicted to redirect, or None."""

@@ -49,7 +49,7 @@ class RepairStateMachine:
         self._components = components
         # Only components overriding ``on_repair`` receive repair events;
         # the base-class hook is a no-op, so skipping it per squashed entry
-        # is free and saves a bundle clone per component per walk step.
+        # is free and saves building the bundle at all.
         self._repair_components = tuple(
             c
             for c in components
@@ -72,9 +72,10 @@ class RepairStateMachine:
             self._local_history.restore(entry.lhist_index, entry.lhist_snapshot)
             if self._repair_components:
                 bundle = bundle_from_entry(entry)
+                metas = entry.metas
                 for component in self._repair_components:
-                    meta = entry.metas.get(component.name, 0)
-                    component.on_repair(bundle.with_meta(meta))
+                    bundle.meta = metas.get(component.name, 0)
+                    component.on_repair(bundle)
         cycles = math.ceil(len(squashed) / self.walk_width)
         self.stats.walks += 1
         self.stats.entries_repaired += len(squashed)
@@ -88,22 +89,26 @@ class RepairStateMachine:
 def bundle_from_entry(
     entry: HistoryFileEntry, mispredicted: bool = False
 ) -> UpdateBundle:
-    """Build the common event payload from a history-file entry (§III-E)."""
+    """Build the common event payload from a history-file entry (§III-E).
+
+    ``meta`` starts at 0; the caller sets it to each receiving
+    component's own metadata before that component's handler runs.
+    """
     return UpdateBundle(
-        fetch_pc=entry.fetch_pc,
-        width=entry.width,
-        ghist=entry.req_ghist,
-        lhist=entry.lhist_snapshot,
-        phist=entry.phist_snapshot,
-        meta=0,
-        br_mask=entry.br_mask,
-        taken_mask=entry.taken_mask,
-        cfi_idx=entry.cfi_idx,
-        cfi_taken=entry.cfi_taken,
-        cfi_target=entry.cfi_target,
-        cfi_is_br=entry.cfi_is_br,
-        cfi_is_jal=entry.cfi_is_jal,
-        cfi_is_jalr=entry.cfi_is_jalr,
-        mispredicted=mispredicted or entry.mispredicted,
-        mispredict_idx=entry.mispredict_idx,
+        entry.fetch_pc,
+        entry.width,
+        entry.req_ghist,
+        entry.lhist_snapshot,
+        entry.phist_snapshot,
+        0,
+        entry.br_mask,
+        entry.taken_mask,
+        entry.cfi_idx,
+        entry.cfi_taken,
+        entry.cfi_target,
+        entry.cfi_is_br,
+        entry.cfi_is_jal,
+        entry.cfi_is_jalr,
+        mispredicted or entry.mispredicted,
+        entry.mispredict_idx,
     )

@@ -45,12 +45,14 @@ def merge_by_hit(
     between ordered sub-components (§IV-B): the higher-priority prediction
     provides the final prediction in any cycle where it exists.
 
-    The merged vector aliases the input slots instead of copying them: every
-    consumer that mutates slot predictions (component ``lookup``
-    implementations and ``_apply_predecode``) copies the whole vector first,
-    so merged outputs are read-only and sharing is safe.  This runs once per
-    override edge per fetch packet, making it one of the hottest allocation
-    sites in a sweep.
+    The merged vector aliases the input slots instead of copying them.
+    That is safe because slot predictions are never assigned to once
+    built: a component ``lookup`` either returns its ``predict_in`` vector
+    unchanged or builds a new vector with new slots for the lanes it
+    predicts, and ``_apply_predecode`` builds its own vector too (CON002
+    fails a lookup that writes to a slot it was handed).  This runs once
+    per override edge per fetch packet, making it one of the hottest
+    allocation sites in a sweep.
     """
     slots = [
         (w if w.hit else f)
@@ -114,8 +116,9 @@ class TopologyNode(abc.ABC):
 def _shared_fallthrough(fetch_pc: int, width: int) -> PredictionVector:
     """A canonical fall-through vector for default predict_in wiring.
 
-    Safe to share across queries: every consumer that mutates slot
-    predictions copies the vector first, so these defaults are read-only.
+    Safe to share across queries: vectors and slots are never mutated on
+    the prediction path (see :func:`merge_by_hit`), so these defaults stay
+    read-only.
     """
     return PredictionVector.fallthrough(fetch_pc, width)
 

@@ -16,7 +16,8 @@ What the runtime covers:
   fetch slot).  Dtypes follow the field width: 1-bit fields are boolean,
   fields up to 8 bits are ``uint8``, wider fields are ``int64``.
 - **Row selection**: :meth:`row` evaluates the table's declared
-  :meth:`IndexFn.compute <repro.spec.IndexFn.compute>` closed form;
+  closed form, bound once at construction with
+  :meth:`IndexFn.bind <repro.spec.IndexFn.bind>`;
   :meth:`way_of` applies the library's way-selection hash.
 - **Closed-form updates**: :meth:`train` applies the
   ``saturating-counter`` rule (inc/dec with bounds), :meth:`roll` the
@@ -88,7 +89,7 @@ class DerivedTable:
         self._sole_bits = spec.fields[0].bits
         self._multiway = spec.ways > 1
         self._is_counter = spec.update == "saturating-counter"
-        self._compute = spec.index.compute if spec.index is not None else None
+        self._row = spec.index.bind() if spec.index is not None else None
 
     # -- array access --------------------------------------------------
     def _only_field(self) -> str:
@@ -122,19 +123,14 @@ class DerivedTable:
         self, fetch_pc: int, ghist: int = 0, lhist: int = 0, phist: int = 0
     ) -> int:
         """The row the spec's :class:`IndexFn` closed form selects."""
-        compute = self._compute
-        index = (
-            compute(fetch_pc, ghist, lhist, phist)
-            if compute is not None
-            else None
-        )
-        if index is None:
+        form = self._row
+        if form is None:
             scheme = self.spec.index.scheme if self.spec.index else None
             raise ValueError(
                 f"table {self.spec.name!r} declares scheme "
                 f"{scheme!r}: no closed-form row"
             )
-        return index
+        return form(fetch_pc, ghist, lhist, phist)
 
     def way_of(self, branch_pc: int) -> int:
         """Way-selection hash for multi-way tables (identity for 1 way)."""

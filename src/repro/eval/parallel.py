@@ -212,7 +212,8 @@ class ParallelRunner:
 
         if self.jobs > 1 and len(pending) > 1:
             parallelizable = [i for i in pending if _is_picklable(batch[i])]
-            serial_only = [i for i in pending if i not in set(parallelizable)]
+            shipped = set(parallelizable)
+            serial_only = [i for i in pending if i not in shipped]
             for index in parallelizable:
                 self._report(batch[index])
             self._run_parallel(batch, parallelizable, results)

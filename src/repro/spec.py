@@ -28,6 +28,7 @@ The spec layer is also consumed by:
 from __future__ import annotations
 
 import dataclasses
+from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro._util import fold_history, hash_pc, mask
@@ -89,6 +90,51 @@ class FieldSpec:
         return self.bits * self.count
 
 
+#: A bound index form (see :meth:`IndexFn.bind`): ``(fetch_pc, ghist,
+#: lhist, phist) -> row``.
+IndexForm = Callable[..., int]
+
+
+# The closed forms :meth:`IndexFn.bind` binds, one per scheme.  Leading
+# parameters are the widths ``bind`` resolves once; ``div`` turns a fetch PC
+# into the hashed key (the fetch width for packet-keyed tables, 1 for
+# per-branch tables).
+def _index_pc(div, bits, fetch_pc, ghist=0, lhist=0, phist=0):
+    return hash_pc(fetch_pc // div, bits)
+
+
+def _index_ghist(hbits, bits, fetch_pc, ghist=0, lhist=0, phist=0):
+    return fold_history(ghist, hbits, bits)
+
+
+def _index_gshare(div, hbits, bits, fetch_pc, ghist=0, lhist=0, phist=0):
+    return hash_pc(fetch_pc // div, bits) ^ fold_history(ghist, hbits, bits)
+
+
+def _index_gselect(
+    div, pc_part, hist_part, hist_mask, fetch_pc, ghist=0, lhist=0, phist=0
+):
+    return (hash_pc(fetch_pc // div, pc_part) << hist_part) | (ghist & hist_mask)
+
+
+def _index_phist(hbits, bits, fetch_pc, ghist=0, lhist=0, phist=0):
+    return fold_history(phist, hbits, bits)
+
+
+def _index_pshare(div, hbits, bits, fetch_pc, ghist=0, lhist=0, phist=0):
+    return hash_pc(fetch_pc // div, bits) ^ fold_history(phist, hbits, bits)
+
+
+def _index_lhist(div, hbits, bits, pc_bits, fetch_pc, ghist=0, lhist=0, phist=0):
+    # Fold the local history and mix in a little PC so distinct branches
+    # with identical histories do not always collide.
+    return fold_history(lhist, hbits, bits) ^ hash_pc(fetch_pc // div, pc_bits)
+
+
+def _index_ghist_raw(hist_mask, fetch_pc, ghist=0, lhist=0, phist=0):
+    return ghist & hist_mask
+
+
 #: Signature of a table's observed-index probe: called with the component
 #: instance and a stimulus ``(fetch_pc, ghist, lhist, phist)``, returns
 #: the row index the implementation would actually read.
@@ -111,34 +157,45 @@ class IndexFn:
     key: str = "packet"
     fetch_width: int = 1
 
+    def bind(self) -> Optional[IndexForm]:
+        """The closed form for this scheme and these widths, or None.
+
+        Returns a callable ``(fetch_pc, ghist=0, lhist=0, phist=0) ->
+        row`` with the scheme dispatch, the PC key and every derived width
+        already resolved, so a table that binds once at construction pays
+        none of that per lookup.  ``"none"`` and ``"custom"`` have no
+        closed form and bind to None.
+        """
+        scheme, bits, hbits = self.scheme, self.index_bits, self.history_bits
+        if scheme in ("none", "custom"):
+            return None
+        div = 1 if self.key == "branch_pc" else self.fetch_width
+        if scheme == "ghist_raw":
+            return partial(_index_ghist_raw, mask(hbits) & mask(bits))
+        if scheme == "pc":
+            return partial(_index_pc, div, bits)
+        if scheme == "ghist":
+            return partial(_index_ghist, hbits, bits)
+        if scheme == "gshare":
+            return partial(_index_gshare, div, hbits, bits)
+        if scheme == "gselect":
+            hist_part = bits // 2
+            return partial(
+                _index_gselect, div, bits - hist_part, hist_part, mask(hist_part)
+            )
+        if scheme == "phist":
+            return partial(_index_phist, hbits, bits)
+        if scheme == "pshare":
+            return partial(_index_pshare, div, hbits, bits)
+        # "lhist"
+        return partial(_index_lhist, div, hbits, bits, max(bits - 2, 1))
+
     def compute(
         self, fetch_pc: int, ghist: int = 0, lhist: int = 0, phist: int = 0
     ) -> Optional[int]:
         """The row this spec says the stimulus indexes (None: no claim)."""
-        if self.scheme in ("none", "custom"):
-            return None
-        pc = fetch_pc if self.key == "branch_pc" else fetch_pc // self.fetch_width
-        bits = self.index_bits
-        if self.scheme == "ghist_raw":
-            return ghist & mask(self.history_bits) & mask(bits)
-        if self.scheme == "pc":
-            return hash_pc(pc, bits)
-        if self.scheme == "ghist":
-            return fold_history(ghist, self.history_bits, bits)
-        if self.scheme == "gshare":
-            return hash_pc(pc, bits) ^ fold_history(ghist, self.history_bits, bits)
-        if self.scheme == "gselect":
-            hist_part = bits // 2
-            pc_part = bits - hist_part
-            return (hash_pc(pc, pc_part) << hist_part) | (ghist & mask(hist_part))
-        if self.scheme == "phist":
-            return fold_history(phist, self.history_bits, bits)
-        if self.scheme == "pshare":
-            return hash_pc(pc, bits) ^ fold_history(phist, self.history_bits, bits)
-        # "lhist"
-        return fold_history(lhist, self.history_bits, bits) ^ hash_pc(
-            pc, max(bits - 2, 1)
-        )
+        form = self.bind()
+        return None if form is None else form(fetch_pc, ghist, lhist, phist)
 
     @property
     def ghist_bits(self) -> int:

@@ -201,6 +201,31 @@ class KernelLiar(_Base):
         return _InvertingKernel(self)
 
 
+class BundleScribbler(_Base):
+    """CON010: rewrites the shared update bundle's directions in
+    ``on_update``, so every component handling the event after it would
+    train on the wrong outcomes."""
+
+    def __init__(self, name, latency):
+        super().__init__(name, latency)
+
+    def on_update(self, bundle):
+        bundle.taken_mask = tuple(not taken for taken in bundle.taken_mask)
+
+
+class RequestScribbler(_Base):
+    """CON010: rewrites the shared predict request's history in
+    ``lookup``, so every component looked up after it would index with
+    the wrong history."""
+
+    def __init__(self, name, latency):
+        super().__init__(name, latency)
+
+    def lookup(self, req, predict_in):
+        req.ghist ^= 1
+        return predict_in[0], 0
+
+
 class MiscountedMeta(_Base):
     """TOP003: declares fewer meta_bits than its codec actually packs."""
 
@@ -223,4 +248,5 @@ VIOLATIONS = {
     "CON007": ("FLAKY", Flaky),
     "CON008": ("BRLEARN", BranchlessLearner),
     "CON009": ("KLIAR", KernelLiar),
+    "CON010": ("SCRIBBLE", BundleScribbler),
 }

@@ -139,6 +139,12 @@ class TestContractRules:
         )
         assert "CON002" in codes(diags)
 
+    def test_request_mutation_is_con010(self):
+        diags = check_component(
+            lambda name, lat: bad_components.RequestScribbler(name, lat), "RSCRIB"
+        )
+        assert codes(diags) == ["CON010"]
+
     def test_violations_are_specific(self):
         # A fixture must not spray unrelated diagnostics: each one trips
         # only the rule it was built to violate.
@@ -222,7 +228,7 @@ class TestDiagnosticsModel:
     def test_rule_catalog_covers_every_emitted_code(self):
         assert set(RULES) == {
             *(f"TOP{n:03d}" for n in range(8)),
-            *(f"CON{n:03d}" for n in range(1, 10)),
+            *(f"CON{n:03d}" for n in range(1, 11)),
             *(f"RPR{n:03d}" for n in range(1, 6)),
             *(f"SPEC{n:03d}" for n in range(1, 9)),
         }
@@ -322,6 +328,25 @@ class TestCheckCli:
 
     def test_no_selection_is_usage_error(self, capsys):
         assert cli.main(["check"]) == 2
+
+    def test_components_flag_reports_bundle_mutation(self, capsys, monkeypatch):
+        # CON010 through the CLI: clean on the shipped library, reported
+        # once a bundle-mutating component joins it.
+        from repro.components import library as library_mod
+
+        assert cli.main(["check", "--components"]) == 0
+        assert "CON010" not in capsys.readouterr().out
+        shipped = library_mod.standard_library
+        monkeypatch.setattr(
+            library_mod,
+            "standard_library",
+            lambda: shipped().with_params(
+                "SCRIBBLE",
+                lambda name, lat: bad_components.BundleScribbler(name, lat),
+            ),
+        )
+        assert cli.main(["check", "--components"]) == 1
+        assert "CON010" in capsys.readouterr().out
 
     def test_all_passes_clean_on_shipped_tree(self, capsys):
         assert cli.main(["check", "--all", "--strict"]) == 0
